@@ -81,6 +81,23 @@ void InitMetrics(Result& result, bool trace);
 /// Linear-interpolated quantile (q in [0, 1]) of raw samples; 0 if empty.
 double Quantile(std::vector<double> samples, double q);
 
+/// One timed event of a phase: when it ended (seconds from the phase's
+/// start) and its value (a latency; unused where only the count matters).
+struct Sample {
+  double t_s = 0.0;
+  double value = 0.0;
+};
+
+/// The phase cut into one-second windows (a partial last window is left
+/// out). The host's speed moves by up to a third within minutes, so a run
+/// reports the seconds it disturbed least: the upper quartile of the
+/// per-second event rates, and the lower quartile of the per-second median
+/// values (windows with fewer than `min_samples` events are skipped). Both
+/// are 0 when the phase holds no whole window.
+double SteadyRate(const std::vector<Sample>& samples, double span_s);
+double SteadyMedian(const std::vector<Sample>& samples, double span_s,
+                    std::size_t min_samples);
+
 /// Peak resident set of this process so far (VmHWM), in MB.
 double PeakRssMb();
 

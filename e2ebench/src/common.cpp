@@ -104,6 +104,37 @@ double Quantile(std::vector<double> samples, double q) {
   return samples[lo] + (samples[hi] - samples[lo]) * (pos - double(lo));
 }
 
+namespace {
+
+/// The samples of each whole one-second window of the phase.
+std::vector<std::vector<double>> Windows(const std::vector<Sample>& samples,
+                                         double span_s) {
+  std::vector<std::vector<double>> windows(std::size_t(std::max(0.0, span_s)));
+  for (const Sample& s : samples) {
+    if (s.t_s >= 0.0 && std::size_t(s.t_s) < windows.size()) {
+      windows[std::size_t(s.t_s)].push_back(s.value);
+    }
+  }
+  return windows;
+}
+
+}  // namespace
+
+double SteadyRate(const std::vector<Sample>& samples, double span_s) {
+  std::vector<double> rates;
+  for (const auto& w : Windows(samples, span_s)) rates.push_back(double(w.size()));
+  return Quantile(std::move(rates), 0.75);
+}
+
+double SteadyMedian(const std::vector<Sample>& samples, double span_s,
+                    std::size_t min_samples) {
+  std::vector<double> medians;
+  for (auto& w : Windows(samples, span_s)) {
+    if (w.size() >= min_samples) medians.push_back(Quantile(std::move(w), 0.5));
+  }
+  return Quantile(std::move(medians), 0.25);
+}
+
 double PeakRssMb() {
   std::ifstream status("/proc/self/status");
   std::string line;

@@ -117,6 +117,7 @@ CameraInputs BuildCameraInputs(std::uint64_t seed, const InputSpec& spec) {
   std::vector<std::vector<synth::LabelSet>> fit_labels(std::size(kPresets));
   constexpr std::size_t kFitStride = 5;
 
+  const std::size_t rotate_by = Rng(seed).UniformU64(0, spec.clip_frames - 1);
   std::vector<std::thread> workers;
   for (std::size_t p = 0; p < std::size(kPresets); ++p) {
     workers.emplace_back([&, p] {
@@ -130,13 +131,14 @@ CameraInputs BuildCameraInputs(std::uint64_t seed, const InputSpec& spec) {
       // events). The first train_frames are the camera's labelled history:
       // they tune its encoder (core::TuneEncoder, the paper's per-camera
       // lookup table) and calibrate the shared classifier on the camera's
-      // own background. The run's seed picks which clip_frames-long window
-      // of the span_frames after the history the camera streams.
+      // own background. The camera streams the clip_frames after the
+      // history, looped; the run's seed picks the clip frame every camera's
+      // stream starts on. Every run thus streams the same content (the
+      // encoder's work per frame does not move with the seed), in another
+      // phase, and the cameras' events line up the same way in every run.
       synth::SyntheticVideo scene = synth::GenerateScene(PresetConfig(
-          shape, spec.train_frames + spec.span_frames, kSceneSeed + p));
-      const std::size_t clip_begin =
-          spec.train_frames +
-          Rng(seed * 8 + p).UniformU64(0, spec.span_frames - spec.clip_frames);
+          shape, spec.train_frames + spec.clip_frames, kSceneSeed + p));
+      const std::size_t clip_begin = spec.train_frames;
       {
         media::RawVideo history;
         history.width = scene.video.width;
@@ -152,6 +154,12 @@ CameraInputs BuildCameraInputs(std::uint64_t seed, const InputSpec& spec) {
             history, history_truth, core::TunerGrid::Extended());
         cam.params = codec::EncoderParams::Semantic(tuned.best.gop_size,
                                                     tuned.best.scenecut);
+        // Each camera encodes inline on its own thread, as a camera device
+        // encodes on its own processor. With the default (the runtime's
+        // shared pool) four live cameras encode half as many frames per
+        // second on four cores, and the rate swings with the scheduler;
+        // see README.md.
+        cam.params.threads = 1;
         for (std::size_t f = 0; f < spec.train_frames; f += kFitStride) {
           fit_frames[p].push_back(history.frames[f]);
           fit_labels[p].push_back(history_truth.label(f));
@@ -159,12 +167,18 @@ CameraInputs BuildCameraInputs(std::uint64_t seed, const InputSpec& spec) {
       }
       const auto clip_first = scene.truth.labels().begin() + std::ptrdiff_t(clip_begin);
       cam.fps = scene.video.fps;
-      cam.truth = synth::GroundTruth(std::vector<synth::LabelSet>(
-          clip_first, clip_first + std::ptrdiff_t(spec.clip_frames)));
+      std::vector<synth::LabelSet> clip_labels(
+          clip_first, clip_first + std::ptrdiff_t(spec.clip_frames));
+      std::rotate(clip_labels.begin(),
+                  clip_labels.begin() + std::ptrdiff_t(rotate_by),
+                  clip_labels.end());
+      cam.truth = synth::GroundTruth(std::move(clip_labels));
       auto& frames = scene.video.frames;
       frames.erase(frames.begin() + std::ptrdiff_t(clip_begin + spec.clip_frames),
                    frames.end());
       frames.erase(frames.begin(), frames.begin() + std::ptrdiff_t(clip_begin));
+      std::rotate(frames.begin(), frames.begin() + std::ptrdiff_t(rotate_by),
+                  frames.end());
       cam.clip = std::move(scene.video);
       if (spec.pre_encode) {
         auto encoded = codec::VideoEncoder(cam.params).Encode(cam.clip);

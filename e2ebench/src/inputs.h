@@ -65,8 +65,7 @@ struct CameraInputs {
 
 struct InputSpec {
   std::size_t train_frames = 480;  ///< history frames per preset (tune, fit)
-  std::size_t span_frames = 720;   ///< frames after the history to pick from
-  std::size_t clip_frames = 360;   ///< streamed frames per preset
+  std::size_t clip_frames = 360;   ///< streamed frames per preset (looped)
   bool keep_raw = false;    ///< keep the clip's raw frames (camera_encode)
   bool pre_encode = false;  ///< encode the clip + still sizes (fleet_ingest)
 };
